@@ -15,8 +15,6 @@ policy (top-k, FARMER) works against this one view.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .backends import BitsetBackend, resolve_backend
@@ -28,18 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
 __all__ = ["MiningView", "SupportIndex"]
 
 
-# Views keyed by (consequent, minsup, backend) per live dataset object;
-# entries die with the dataset.  Guarded by a lock because the service
-# mines from several job threads at once.
-_VIEW_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_VIEW_CACHE_LOCK = threading.Lock()
-
-
 class MiningView:
     """Row-enumeration view of a dataset for one consequent class.
 
+    A view keeps no reference to its dataset, so the views cached on a
+    dataset die with it.
+
     Attributes:
-        dataset: the underlying discretized dataset.
         consequent: class id the mined rule groups conclude.
         minsup: absolute minimum support (rows of the consequent class).
         n_rows: number of rows (same as the dataset).
@@ -70,23 +63,22 @@ class MiningView:
         Views (and the :class:`SupportIndex` each one lazily grows) are
         pure functions of their arguments, so every miner entry point —
         serial, sharded, merge, pool worker — can share one instance per
-        live dataset object.  The cache is weak-keyed on the dataset:
-        entries disappear when the dataset is garbage collected.  The
+        live dataset object.  The cache lives on the dataset itself (its
+        ``_mining_views`` slot), so entries die with the dataset.  The
         resolved backend name is part of the key because the support
-        index binds backend-encoded support tables.
+        index binds backend-encoded support tables.  Two threads that
+        miss at once may both build a view; ``setdefault`` makes both
+        return the one stored first.
         """
         resolved = resolve_backend(backend, n_rows=dataset.n_rows)
-        with _VIEW_CACHE_LOCK:
-            per_dataset = _VIEW_CACHE.get(dataset)
-            if per_dataset is None:
-                per_dataset = _VIEW_CACHE[dataset] = {}
-            key = (consequent, minsup, resolved.name)
-            view = per_dataset.get(key)
-            if view is None:
-                view = per_dataset[key] = cls(
-                    dataset, consequent, minsup, backend=resolved
-                )
-            return view
+        views = dataset._mining_views
+        key = (consequent, minsup, resolved.name)
+        view = views.get(key)
+        if view is None:
+            view = views.setdefault(
+                key, cls(dataset, consequent, minsup, backend=resolved)
+            )
+        return view
 
     def __init__(
         self,
@@ -102,7 +94,6 @@ class MiningView:
                 f"consequent {consequent} out of range for "
                 f"{dataset.n_classes} classes"
             )
-        self.dataset = dataset
         self.consequent = consequent
         self.minsup = minsup
         # "auto" resolves here because the row count is known: int at

@@ -186,6 +186,15 @@ class DiscretizedDataset:
         self.name = name
         self._item_rows: Optional[list[int]] = None
         self._class_masks: Optional[list[int]] = None
+        # MiningView.cached's slot: (consequent, minsup, backend) -> view.
+        self._mining_views: dict = {}
+
+    def __getstate__(self) -> dict:
+        # Mining views are process-local derived state; a pickled dataset
+        # (shipped to a pool worker) starts with an empty view cache.
+        state = self.__dict__.copy()
+        state["_mining_views"] = {}
+        return state
 
     @property
     def n_rows(self) -> int:

@@ -1,9 +1,7 @@
 """Asyncio batch-coalescing HTTP front end for :class:`RuleService`.
 
-The PR 1 :class:`~repro.service.server.ReproServer` spends one OS thread
-per connection and answers each ``/classify`` alone, so the bitset
-``predict_batch`` fast path never sees a batch from the wire.  This
-module is the production front end: a stdlib-``asyncio`` server that
+The service's one HTTP transport, started by ``repro serve``: a
+stdlib-``asyncio`` server that
 
 * holds thousands of **keep-alive** connections on one event loop
   instead of a thread each;
@@ -33,10 +31,6 @@ and the warm process pool of :mod:`repro.parallel` (via a small request
 executor), so PR 5's retry/heal/degrade semantics carry over verbatim.
 Blocking service calls run on that executor too; the event loop itself
 never computes.
-
-The class mirrors :class:`ReproServer`'s surface (``start`` / ``stop`` /
-``serve_forever`` / ``url`` / shared ``service``) so the e2e suite runs
-against both and ``repro serve`` can flip between them with a flag.
 """
 
 from __future__ import annotations
@@ -54,7 +48,9 @@ from .server import RuleService, ServiceError
 
 __all__ = ["AsyncReproServer"]
 
-MAX_BODY_BYTES = 16 * 1024 * 1024  # same request bound as the legacy server
+# 16 MiB: a scaled paper dataset payload fits easily, and anything
+# bigger is almost certainly a client bug.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 MAX_HEADER_BYTES = 64 * 1024
 # In-order responses mean a pipelined burst is buffered as tasks; bound
 # how far ahead of the writer a single connection may read.
@@ -86,12 +82,16 @@ class _Request:
 class _Coalescer:
     """Event-loop micro-batcher for one model version.
 
-    The asyncio twin of :class:`~repro.service.batching.MicroBatcher`:
-    no collector thread and no blocking — pending requests are plain
-    lists mutated only on the event loop, the flush deadline is a
-    ``call_later`` timer, and the batched ``predict_batch`` call runs on
-    the request executor so the loop keeps parsing sockets while the
-    model computes.
+    Concurrent ``/classify`` requests for one model version share the
+    per-call setup of :meth:`predict_batch` (compiled rule bitsets,
+    Python-level dispatch); correctness is untouched because
+    ``predict_batch`` is row-independent.  No collector thread and no
+    blocking — pending requests are plain lists mutated only on the
+    event loop, the flush deadline is a ``call_later`` timer, and the
+    batched ``predict_batch`` call runs on the request executor so the
+    loop keeps parsing sockets while the model computes.  A failed call
+    (or one returning the wrong number of results) fails every request
+    in that batch.
     """
 
     def __init__(
@@ -171,7 +171,7 @@ class _Coalescer:
             offset += len(rows)
 
     def stats(self) -> dict:
-        """Same shape as :meth:`MicroBatcher.stats` for ``/metrics``."""
+        """This coalescer's ``/metrics`` ``batching`` entry."""
         mean = self.batched_rows / self.batches if self.batches else 0.0
         return {
             "requests": self.requests,
@@ -188,8 +188,13 @@ class AsyncReproServer:
     Args:
         host/port: bind address; port 0 picks an ephemeral port.
         service: an existing facade to serve; built from the remaining
-            keyword arguments when omitted (same knobs as
-            :class:`ReproServer`, including ``store_path`` durability).
+            keyword arguments (the :class:`RuleService` knobs, including
+            ``store_path`` durability) when omitted.
+        batch_rows / batch_delay: coalescing window of ``/classify`` —
+            a model version's pending requests become one
+            ``predict_batch`` call once ``batch_rows`` rows are pending
+            or ``batch_delay`` seconds after the first, whichever comes
+            first.
         max_connections: socket cap; connections beyond it are answered
             ``503`` + ``Retry-After`` and closed.
         max_inflight: dispatched-request cap; beyond it requests are
@@ -209,6 +214,8 @@ class AsyncReproServer:
         port: int = 0,
         service: Optional[RuleService] = None,
         verbose: bool = False,
+        batch_rows: int = 256,
+        batch_delay: float = 0.002,
         max_connections: int = 512,
         max_inflight: int = 128,
         retry_after_seconds: float = 1.0,
@@ -220,6 +227,8 @@ class AsyncReproServer:
             **service_kwargs
         )
         self.verbose = verbose
+        self.batch_rows = batch_rows
+        self.batch_delay = batch_delay
         self.max_connections = max_connections
         self.max_inflight = max_inflight
         self.retry_after_seconds = retry_after_seconds
@@ -248,7 +257,7 @@ class AsyncReproServer:
         self._draining = False
         self._grace = grace_seconds
 
-    # -- public surface (mirrors ReproServer) ------------------------------
+    # -- public surface -----------------------------------------------------
 
     @property
     def host(self) -> str:
@@ -594,11 +603,12 @@ class AsyncReproServer:
                 return 200, payload, "GET /healthz"
             if path == "/metrics":
                 payload = await self._call(service.metrics)
-                batching = payload.setdefault("batching", {})
-                for (name, version), coalescer in sorted(
-                    self._coalescers.items()
-                ):
-                    batching[f"{name}@v{version}"] = coalescer.stats()
+                payload["batching"] = {
+                    f"{name}@v{version}": coalescer.stats()
+                    for (name, version), coalescer in sorted(
+                        self._coalescers.items()
+                    )
+                }
                 payload["frontend"] = self.describe()
                 return 200, payload, "GET /metrics"
             if path == "/models":
@@ -647,8 +657,8 @@ class AsyncReproServer:
             coalescer = _Coalescer(
                 self,
                 record,
-                max_batch_rows=self.service.batch_rows,
-                max_delay=self.service.batch_delay,
+                max_batch_rows=self.batch_rows,
+                max_delay=self.batch_delay,
             )
             self._coalescers[key] = coalescer
         return coalescer
@@ -662,7 +672,10 @@ class AsyncReproServer:
             raise ServiceError(400, "missing request body")
         try:
             body = json.loads(request.body)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # JSONDecodeError and UnicodeDecodeError (bytes that are not
+            # UTF-8) are ValueErrors; nesting past the interpreter's
+            # recursion limit raises RecursionError.
             raise ServiceError(400, f"invalid JSON body: {error}")
         if not isinstance(body, dict):
             raise ServiceError(400, "request body must be a JSON object")

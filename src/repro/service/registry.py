@@ -36,15 +36,35 @@ _NAME_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 RuleModel = Union[CBAClassifier, RCBTClassifier]
 
 
+def _item_limit(model: RuleModel) -> int:
+    """One past the largest item id in any rule antecedent of ``model``."""
+    if isinstance(model, RCBTClassifier):
+        rules = [rule for level in model.levels_ for rule in level.rules]
+    else:
+        rules = model.rules_
+    return 1 + max(
+        (max(rule.antecedent, default=-1) for rule in rules), default=-1
+    )
+
+
 @dataclass
 class ModelRecord:
-    """One registered model version."""
+    """One registered model version.
+
+    ``item_limit`` is one past the largest item id any rule antecedent
+    uses: a row item at or above it matches no rule, so ``/classify``
+    drops such items without changing a prediction.
+    """
 
     name: str
     version: int
     kind: str
     model: RuleModel = field(repr=False)
     pipeline: Optional[dict] = field(default=None, repr=False)
+    item_limit: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.item_limit = _item_limit(self.model)
 
     def describe(self) -> dict:
         """JSON-safe summary for the ``/models`` endpoint."""

@@ -1,17 +1,12 @@
-"""The serving layer: an embeddable facade plus a threaded HTTP API.
+"""The serving layer's transport-free facade.
 
-Two levels, so every future scaling PR has a seam to plug into:
-
-* :class:`RuleService` — the transport-free facade.  It owns the model
-  registry, the content-addressed mining cache, the mining job queue,
-  per-model classify micro-batchers and the telemetry registry, and
-  exposes plain-dict operations (``classify``, ``submit_mine``,
-  ``job_status``...).  Embed it directly in another process, or put any
-  transport in front of it.
-* :class:`ReproServer` — a stdlib ``ThreadingHTTPServer`` speaking JSON
-  over the endpoints below.  Started by ``repro serve``.
-
-HTTP surface::
+:class:`RuleService` owns the model registry, the content-addressed
+mining cache, the mining job queue, the durable job store and the
+telemetry registry, and exposes plain-dict operations
+(``resolve_classify``, ``submit_mine``, ``job_status``...).  Embed it
+directly in another process, or put a transport in front of it:
+:class:`~repro.service.aio.AsyncReproServer`, started by ``repro serve``,
+speaks JSON over these endpoints::
 
     GET    /healthz            liveness + uptime
     GET    /metrics            counters, latencies, cache/jobs/batching
@@ -34,10 +29,8 @@ bit-identical across backends.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 import numpy as np
@@ -60,14 +53,23 @@ from ..data.dataset import GeneExpressionDataset
 from ..data.discretize import EntropyDiscretizer
 from ..data.loaders import discretized_from_payload
 from ..parallel import AUTO_JOBS, pool_stats
-from .batching import MicroBatcher
 from .cache import MiningCache, dataset_fingerprint, mining_key
 from .jobs import DONE, FAILED, QUEUED, RUNNING, JobQueue
 from .registry import ModelRecord, ModelRegistry
 from .store import JobStore
 from .telemetry import BATCH_SIZE_BUCKETS, Telemetry
 
-__all__ = ["RuleService", "ReproServer", "ServiceError", "topk_result_to_payload"]
+__all__ = ["RuleService", "ServiceError", "topk_result_to_payload"]
+
+# Largest item id or model version a request may carry.  Item ids become
+# bit positions (``1 << id``), and a shift past a machine word cannot be
+# encoded at all.
+MAX_ID = 2**63 - 1
+
+
+def _is_id(value) -> bool:
+    """True for a JSON integer in ``[0, MAX_ID]`` (bools are not ids)."""
+    return type(value) is int and 0 <= value <= MAX_ID
 
 
 class ServiceError(Exception):
@@ -103,13 +105,14 @@ def topk_result_to_payload(result: TopkResult) -> dict:
     }
 
 
-def _validate_budget(body: dict, name: str, default, integral: bool):
-    """Validate an optional mining-budget field of a ``/mine`` body.
+def _validate_positive(body: dict, name: str, default, integral: bool):
+    """Validate an optional positive field (a budget, ``minsup``) of ``/mine``.
 
     A missing field falls back to ``default``; an explicit JSON ``null``
-    disables the budget.  Anything non-numeric (or non-positive) is
-    rejected here with a 400 instead of reaching ``mine_topk`` on the
-    worker thread and surfacing as a FAILED job with a traceback.
+    means "none" (no budget, a relative minsup).  Anything non-numeric
+    (or non-positive) is rejected here with a 400 instead of reaching
+    ``mine_topk`` on the worker thread and surfacing as a FAILED job
+    with a traceback.
     """
     if name not in body:
         return default
@@ -143,7 +146,6 @@ class RuleService:
             either way, so the mining cache key is unaffected.
         node_budget / time_budget: default per-job mining budgets
             (overridable per request).
-        batch_rows / batch_delay: micro-batching knobs for classify.
         store_path: when given, a :class:`~repro.service.store.JobStore`
             (SQLite, WAL) makes mining jobs and results durable: jobs
             that were queued or running when the previous process died
@@ -160,8 +162,6 @@ class RuleService:
         mine_jobs: int = 1,
         node_budget: Optional[int] = 2_000_000,
         time_budget: Optional[float] = 300.0,
-        batch_rows: int = 256,
-        batch_delay: float = 0.002,
         store_path: Optional[str] = None,
     ) -> None:
         if mine_jobs != AUTO_JOBS and mine_jobs < 1:
@@ -178,10 +178,7 @@ class RuleService:
         self.telemetry = Telemetry()
         self.node_budget = node_budget
         self.time_budget = time_budget
-        self.batch_rows = batch_rows
-        self.batch_delay = batch_delay
         self.started_at = time.time()
-        self._batchers: dict[tuple[str, int], MicroBatcher] = {}
         self._inflight: dict[str, str] = {}  # mining key -> active job id
         self._lock = threading.Lock()
         self._closed = False
@@ -222,11 +219,6 @@ class RuleService:
         return payload
 
     def metrics(self) -> dict:
-        with self._lock:
-            batching = {
-                f"{name}@v{version}": batcher.stats()
-                for (name, version), batcher in sorted(self._batchers.items())
-            }
         # The warm miner pool, the execution planner and the crash-
         # recovery supervisor live in repro.parallel, shared by every
         # embedder of this service; sample their counters into gauges
@@ -249,7 +241,6 @@ class RuleService:
         extra = {
             "cache": self.cache.stats(),
             "jobs": self.jobs.describe(),
-            "batching": batching,
         }
         if self.store is not None:
             extra["store"] = self.store.stats()
@@ -264,11 +255,14 @@ class RuleService:
             raise ServiceError(
                 400, "body must carry 'name' (string) and 'model' (object)"
             )
+        pipeline = body.get("pipeline")
+        if pipeline is not None and not isinstance(pipeline, dict):
+            raise ServiceError(400, "'pipeline' must be an object or null")
         try:
             record = self.registry.register_payload(
-                name, payload, pipeline=body.get("pipeline")
+                name, payload, pipeline=pipeline
             )
-        except (ValueError, KeyError) as error:
+        except (ValueError, KeyError, TypeError) as error:
             raise ServiceError(400, f"bad model payload: {error}")
         self.telemetry.increment("models_registered")
         return record.describe()
@@ -278,31 +272,30 @@ class RuleService:
 
     # -- classify ----------------------------------------------------------
 
-    def classify(self, body: dict) -> dict:
-        start = time.monotonic()
-        record, rows = self.resolve_classify(body)
-        pairs = self._batcher(record).submit(rows)
-        payload = self.classify_payload(record, pairs)
-        self.record_classify(len(rows), time.monotonic() - start)
-        return payload
-
     def resolve_classify(
         self, body: dict
     ) -> tuple[ModelRecord, list[frozenset[int]]]:
         """Validate a ``/classify`` body into ``(record, itemized rows)``.
 
-        Shared by both front ends: the threaded server feeds the rows to
-        the blocking :class:`MicroBatcher`, the asyncio server to its
-        event-loop coalescer.
+        Every check happens here, before the rows join a coalesced
+        batch, so one bad request can never fail the requests batched
+        with it.  ``version`` and every item id must be a JSON integer
+        in ``[0, MAX_ID]``; anything else (bools, floats, strings,
+        negatives) is a 400.  Item ids at or above the model's
+        :attr:`~repro.service.registry.ModelRecord.item_limit` match no
+        rule antecedent, so they are dropped: the prediction is exactly
+        the one the full row would get.
         """
         name = body.get("model")
         if not isinstance(name, str):
             raise ServiceError(400, "body must carry 'model' (string)")
         version = body.get("version")
-        try:
-            record = self.registry.get(
-                name, int(version) if version is not None else None
+        if version is not None and not _is_id(version):
+            raise ServiceError(
+                400, f"'version' must be an integer in [0, {MAX_ID}]"
             )
+        try:
+            record = self.registry.get(name, version)
         except KeyError as error:
             # str(KeyError) wraps the message in quotes; unwrap it.
             raise ServiceError(404, error.args[0] if error.args else str(error))
@@ -314,13 +307,18 @@ class RuleService:
                      "'values' (expression values)"
             )
         if values is not None:
-            rows = self._discretize_values(record, values)
-        else:
-            try:
-                rows = [frozenset(int(i) for i in row) for row in rows]
-            except (TypeError, ValueError):
-                raise ServiceError(400, "'rows' must be lists of item ids")
-        return record, rows
+            return record, self._discretize_values(record, values)
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(map(_is_id, row)) for row in rows
+        ):
+            raise ServiceError(
+                400, f"'rows' must be lists of integer item ids in "
+                     f"[0, {MAX_ID}]"
+            )
+        limit = record.item_limit
+        return record, [
+            frozenset(item for item in row if item < limit) for row in rows
+        ]
 
     def classify_payload(self, record: ModelRecord, pairs: list) -> dict:
         """Render batched ``(label, source)`` pairs as a response body."""
@@ -373,25 +371,8 @@ class RuleService:
             return list(discretizer.transform(data).rows)
         except ServiceError:
             raise
-        except (KeyError, ValueError, TypeError) as error:
+        except (KeyError, ValueError, TypeError, AttributeError) as error:
             raise ServiceError(400, f"bad 'values' payload: {error}")
-
-    def _batcher(self, record) -> MicroBatcher:
-        key = (record.name, record.version)
-        with self._lock:
-            if self._closed:
-                raise ServiceError(503, "service is shutting down")
-            batcher = self._batchers.get(key)
-            if batcher is None:
-                batcher = MicroBatcher(
-                    record.model.predict_batch,
-                    max_batch_rows=self.batch_rows,
-                    max_delay=self.batch_delay,
-                    name=f"repro-batcher-{record.name}-v{record.version}",
-                    on_batch=self.observe_batch,
-                )
-                self._batchers[key] = batcher
-            return batcher
 
     # -- mining ------------------------------------------------------------
 
@@ -445,7 +426,7 @@ class RuleService:
             # requests for the same concrete strategy and replays never
             # re-plan.
             strategy = plan_auto_strategy(dataset.n_rows)
-        minsup = body.get("minsup")
+        minsup = _validate_positive(body, "minsup", None, integral=True)
         if minsup is None:
             try:
                 minsup = relative_minsup(
@@ -454,7 +435,6 @@ class RuleService:
                 )
             except (TypeError, ValueError) as error:
                 raise ServiceError(400, str(error))
-        minsup = int(minsup)
 
         key = mining_key(
             dataset_fingerprint(dataset), consequent, minsup, k, engine,
@@ -489,10 +469,10 @@ class RuleService:
                     "result": stored,
                 }
 
-        node_budget = _validate_budget(
+        node_budget = _validate_positive(
             body, "node_budget", self.node_budget, integral=True
         )
-        time_budget = _validate_budget(
+        time_budget = _validate_positive(
             body, "time_budget", self.time_budget, integral=False
         )
         n_jobs = body.get("n_jobs", self.mine_jobs)
@@ -701,7 +681,7 @@ class RuleService:
             self.store.checkpoint(self.jobs.snapshots())
 
     def shutdown(self) -> None:
-        """Cancel mining, drain batchers, join every owned thread.
+        """Cancel mining and join every owned thread.
 
         With a durable store, shutdown also checkpoints: every job's
         final state is flushed, and interrupted mines (queued or
@@ -713,7 +693,6 @@ class RuleService:
             if self._closed:
                 return
             self._closed = True
-            batchers = list(self._batchers.values())
         resumable: list[str] = []
         if self.store is not None:
             resumable = [
@@ -722,8 +701,6 @@ class RuleService:
                 and not snap["cancel_requested"]
             ]
         self.jobs.shutdown(cancel_running=True)
-        for batcher in batchers:
-            batcher.close()
         if self.store is not None:
             self.checkpoint()
             for job_id in resumable:
@@ -734,211 +711,3 @@ class RuleService:
                     self.store.requeue(job_id)
             self.store.checkpoint()
             self.store.close()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the shared :class:`RuleService`."""
-
-    server_version = "repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
-    # 16 MiB request bound: a scaled paper dataset payload fits easily,
-    # and anything bigger is almost certainly a client bug.
-    max_body_bytes = 16 * 1024 * 1024
-
-    @property
-    def service(self) -> RuleService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):
-            super().log_message(format, *args)
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except (TypeError, ValueError):
-            raise ServiceError(400, "malformed Content-Length header")
-        if length > self.max_body_bytes:
-            raise ServiceError(413, "request body too large")
-        if length <= 0:
-            raise ServiceError(400, "missing request body")
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ServiceError(400, f"invalid JSON body: {error}")
-        if not isinstance(body, dict):
-            raise ServiceError(400, "request body must be a JSON object")
-        return body
-
-    def _dispatch(self, route: str, fn) -> None:
-        start = time.monotonic()
-        server = self.server
-        with server.inflight_lock:  # type: ignore[attr-defined]
-            server.inflight += 1  # type: ignore[attr-defined]
-        self.service.telemetry.increment("http_requests")
-        try:
-            status, payload = fn()
-        except ServiceError as error:
-            self.service.telemetry.increment("http_errors")
-            status, payload = error.status, {"error": str(error)}
-        except Exception as error:  # pragma: no cover - defensive
-            self.service.telemetry.increment("http_errors")
-            status, payload = 500, {"error": f"internal error: {error}"}
-        finally:
-            with server.inflight_lock:  # type: ignore[attr-defined]
-                server.inflight -= 1  # type: ignore[attr-defined]
-        self._send_json(status, payload)
-        # Per-route latency under a normalized label (ids collapsed to
-        # '*') so /metrics exposes one histogram per endpoint, not per
-        # job.  Both front ends use the same label family.
-        self.service.telemetry.observe(
-            f"route_seconds:{route}", time.monotonic() - start
-        )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        if path == "/healthz":
-            self._dispatch("GET /healthz",
-                           lambda: (200, self.service.health()))
-        elif path == "/metrics":
-            self._dispatch("GET /metrics",
-                           lambda: (200, self.service.metrics()))
-        elif path == "/models":
-            self._dispatch("GET /models",
-                           lambda: (200, self.service.list_models()))
-        elif path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            self._dispatch("GET /jobs/*",
-                           lambda: (200, self.service.job_status(job_id)))
-        else:
-            self._send_json(404, {"error": f"no route for GET {path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path == "/models":
-            self._dispatch(
-                "POST /models",
-                lambda: (201, self.service.register_model(self._read_json())),
-            )
-        elif path == "/classify":
-            self._dispatch(
-                "POST /classify",
-                lambda: (200, self.service.classify(self._read_json())),
-            )
-        elif path == "/mine":
-            self._dispatch(
-                "POST /mine",
-                lambda: (202, self.service.submit_mine(self._read_json())),
-            )
-        else:
-            self._send_json(404, {"error": f"no route for POST {path}"})
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        if path.startswith("/jobs/"):
-            job_id = path[len("/jobs/"):]
-            self._dispatch("DELETE /jobs/*",
-                           lambda: (200, self.service.cancel_job(job_id)))
-        else:
-            self._send_json(404, {"error": f"no route for DELETE {path}"})
-
-
-class ReproServer:
-    """A :class:`RuleService` behind a stdlib threading HTTP server.
-
-    Args:
-        host/port: bind address; port 0 picks an ephemeral port (read it
-            back from :attr:`port` — the e2e tests rely on this).
-        service: an existing facade to serve; one is built from the
-            remaining keyword arguments when omitted.
-        verbose: log one line per request to stderr.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        service: Optional[RuleService] = None,
-        verbose: bool = False,
-        **service_kwargs,
-    ) -> None:
-        self.service = service if service is not None else RuleService(
-            **service_kwargs
-        )
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        # Handler threads are short-lived; daemonize them so an in-flight
-        # response cannot wedge shutdown, and join workers we own instead.
-        self._httpd.daemon_threads = True
-        self._httpd.service = self.service  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
-        self._httpd.inflight = 0  # type: ignore[attr-defined]
-        self._httpd.inflight_lock = threading.Lock()  # type: ignore[attr-defined]
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ReproServer":
-        """Serve in a background thread; returns once the socket listens."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="repro-serve",
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until interrupted."""
-        try:
-            self._httpd.serve_forever(poll_interval=0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def stop(self, grace_seconds: float = 0.0) -> None:
-        """Graceful shutdown: jobs cancelled, threads joined, socket closed.
-
-        ``grace_seconds`` bounds a drain phase between "stop accepting"
-        and "tear the service down": in-flight handler threads get that
-        long to finish writing responses.  The default of 0 preserves
-        the immediate-stop behaviour the unit tests rely on; ``repro
-        serve`` passes its ``--grace-seconds``.
-        """
-        self._httpd.shutdown()
-        if grace_seconds > 0:
-            deadline = time.monotonic() + grace_seconds
-            while time.monotonic() < deadline:
-                with self._httpd.inflight_lock:  # type: ignore[attr-defined]
-                    inflight = self._httpd.inflight  # type: ignore[attr-defined]
-                if inflight == 0:
-                    break
-                time.sleep(0.01)
-        # Shutdown checkpoints the job store (when configured) and
-        # re-arms interrupted mines for the next boot.
-        self.service.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None

@@ -95,22 +95,19 @@ class TestCompareReports:
 
 class TestRunLoadtest:
     def test_minimal_run_produces_complete_report(self):
-        # One tiny pipelined scenario against both servers: the full
-        # measurement path (drivers, percentiles, batch histogram,
-        # summary) in a few seconds.
+        # One tiny pipelined scenario: the full measurement path
+        # (drivers, percentiles, batch histogram, summary) in a few
+        # seconds.
         scenarios = (Scenario("pipelined", connections=2, requests=16,
                               depth=8),)
         report = run_loadtest(scenarios=scenarios)
-        assert len(report.benchmarks) == 2
-        for entry in report.benchmarks:
-            assert entry["requests"] == entry["requests_target"] == 32
-            assert entry["errors"] == 0
-            assert entry["rps"] > 0
-            assert entry["p99_ms"] >= entry["p50_ms"] > 0
-            assert "batch_histogram" in entry
-        servers = {entry["server"] for entry in report.benchmarks}
-        assert servers == {"legacy", "async"}
-        assert "pipelined" in report.summary["async_vs_legacy_rps"]
+        [entry] = report.benchmarks
+        assert entry["server"] == "async"
+        assert entry["requests"] == entry["requests_target"] == 32
+        assert entry["errors"] == 0
+        assert entry["rps"] > 0
+        assert entry["p99_ms"] >= entry["p50_ms"] > 0
+        assert "batch_histogram" in entry
         payload = report.as_dict()
         assert payload["schema"] == 1
         lines = report.summary_lines()

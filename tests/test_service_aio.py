@@ -70,6 +70,22 @@ def _post_bytes(path, body: dict, host: str, port: int) -> bytes:
     ).encode("latin-1") + payload
 
 
+def _pipelined(server, bodies):
+    """POST ``bodies`` to /classify back-to-back on one connection."""
+    burst = b"".join(
+        _post_bytes("/classify", body, server.host, server.port)
+        for body in bodies
+    )
+    sock = socket.create_connection((server.host, server.port), timeout=30)
+    stream = sock.makefile("rb")
+    try:
+        sock.sendall(burst)
+        return [_read_response(stream) for _ in bodies]
+    finally:
+        stream.close()
+        sock.close()
+
+
 @pytest.fixture
 def model_and_dataset():
     dataset = random_discretized_dataset(n_rows=30, n_items=14, seed=5)
@@ -150,6 +166,31 @@ class TestPipelining:
         finally:
             server.stop()
 
+    def test_bad_request_does_not_fail_its_batch(self, model_and_dataset):
+        model, dataset = model_and_dataset
+        # A window long enough that both good requests share one batch.
+        server = AsyncReproServer(port=0, batch_delay=0.2).start()
+        try:
+            server.service.register_model({
+                "name": "m", "model": classifier_to_payload(model),
+            })
+            expected = model.predict_with_sources(dataset)[0]
+            rows = [sorted(row) for row in dataset.rows]
+            responses = _pipelined(server, [
+                {"model": "m", "rows": [rows[0]]},
+                {"model": "m", "rows": [[-1]]},
+                {"model": "m", "rows": [rows[1]]},
+            ])
+            assert [status for status, _, _ in responses] == [200, 400, 200]
+            assert responses[0][2]["predictions"] == [expected[0]]
+            assert "item ids" in responses[1][2]["error"]
+            assert responses[2][2]["predictions"] == [expected[1]]
+            _, _, metrics = _request(f"{server.url}/metrics")
+            assert metrics["batching"]["m@v1"]["batches"] == 1
+            assert metrics["batching"]["m@v1"]["rows"] == 2
+        finally:
+            server.stop()
+
     def test_malformed_requests_close_with_4xx(self):
         server = AsyncReproServer(port=0).start()
         try:
@@ -193,6 +234,49 @@ class TestPipelining:
                 sock.close()
         finally:
             server.stop()
+
+
+class TestCoalescer:
+    """Batch failure semantics of the ``/classify`` coalescer."""
+
+    def _burst(self, model, dataset, predict_batch):
+        server = AsyncReproServer(port=0, batch_delay=0.2).start()
+        try:
+            server.service.register_model({
+                "name": "m", "model": classifier_to_payload(model),
+            })
+            record = server.service.registry.get("m")
+            record.model.predict_batch = predict_batch
+            rows = [sorted(row) for row in dataset.rows]
+            return _pipelined(server, [
+                {"model": "m", "rows": [rows[i]]} for i in range(3)
+            ])
+        finally:
+            server.stop()
+
+    def test_predict_error_reaches_every_request_in_the_batch(
+        self, model_and_dataset
+    ):
+        def explode(rows):
+            raise RuntimeError("model on fire")
+
+        responses = self._burst(*model_and_dataset, explode)
+        for status, _, payload in responses:
+            assert status == 500
+            assert "model on fire" in payload["error"]
+
+    def test_length_mismatch_is_an_error(self, model_and_dataset):
+        responses = self._burst(*model_and_dataset, lambda rows: [])
+        for status, _, payload in responses:
+            assert status == 500
+            assert "returned 0 results" in payload["error"]
+
+    def test_stop_is_idempotent_and_refuses_new_connections(self):
+        server = AsyncReproServer(port=0).start()
+        server.stop()
+        server.stop()
+        with pytest.raises(OSError):
+            socket.create_connection((server.host, server.port), timeout=5)
 
 
 class TestLoadShedding:

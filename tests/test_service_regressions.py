@@ -19,7 +19,18 @@ Each test here fails on the pre-fix code:
 * a job function raising a ``BaseException`` such as ``SystemExit``
   slipped past the ``except Exception`` guard in ``JobQueue._worker``,
   killing the worker thread: the job stayed RUNNING forever (its
-  ``wait()`` hung) and every queued job behind it was orphaned.
+  ``wait()`` hung) and every queued job behind it was orphaned;
+* ``/classify`` accepted item ids ``predict_batch`` cannot encode
+  (negative, huge, bools, floats, strings) and versions that are not
+  integers: a bad row failed every request coalesced with it with a
+  500, and ``1.7``/``true`` were silently read as version 1;
+* a body that is not UTF-8, or JSON nested past the recursion limit,
+  got a 500 instead of a 400;
+* ``POST /models`` accepted a non-object ``pipeline``, after which
+  every ``/classify`` on that model answered 500, and a model payload
+  with malformed ``levels`` answered 500;
+* ``/mine`` read ``minsup`` with ``int()``: ``"x"`` answered 500 and
+  ``-3`` surfaced as a FAILED job.
 """
 
 import http.client
@@ -29,10 +40,17 @@ import threading
 import pytest
 
 import repro.service.server as server_module
+from repro.classifiers import RCBTClassifier
+from repro.classifiers.persistence import classifier_to_payload
 from repro.core.topk_miner import mine_topk
 from repro.data import random_discretized_dataset
 from repro.data.loaders import discretized_to_payload
-from repro.service import MiningCache, ReproServer, RuleService, ServiceError
+from repro.service import (
+    AsyncReproServer,
+    MiningCache,
+    RuleService,
+    ServiceError,
+)
 from repro.service.jobs import Job, JobQueue
 
 
@@ -171,6 +189,19 @@ class TestBudgetValidation:
         finally:
             service.shutdown()
 
+    @pytest.mark.parametrize(
+        "bad", ["x", [1], True, 2.5, 0, -3], ids=repr
+    )
+    def test_bad_minsup_is_rejected_up_front(self, dataset_payload, bad):
+        service = RuleService(mining_workers=1)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(_mine_body(dataset_payload, minsup=bad))
+            assert excinfo.value.status == 400
+            assert "minsup" in str(excinfo.value)
+        finally:
+            service.shutdown()
+
     def test_null_budget_disables_it_and_good_budgets_pass(
         self, dataset_payload
     ):
@@ -186,26 +217,155 @@ class TestBudgetValidation:
             service.shutdown()
 
 
+def _raw_post(server, path, body: bytes, content_length=None):
+    """POST raw ``body`` bytes; return ``(status, decoded JSON reply)``."""
+    connection = http.client.HTTPConnection(
+        server.host, server.port, timeout=30
+    )
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader(
+            "Content-Length",
+            str(len(body)) if content_length is None else content_length,
+        )
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestMalformedContentLength:
     def test_bad_content_length_returns_400(self):
-        server = ReproServer(port=0).start()
+        server = AsyncReproServer(port=0).start()
         try:
-            connection = http.client.HTTPConnection(
-                server.host, server.port, timeout=30
+            status, body = _raw_post(
+                server, "/mine", b"", content_length="not-a-number"
             )
-            try:
-                connection.putrequest("POST", "/mine")
-                connection.putheader("Content-Type", "application/json")
-                connection.putheader("Content-Length", "not-a-number")
-                connection.endheaders()
-                response = connection.getresponse()
-                body = json.loads(response.read())
-            finally:
-                connection.close()
-            assert response.status == 400
+            assert status == 400
             assert "Content-Length" in body["error"]
         finally:
             server.stop()
+
+
+class TestBadJsonBytes:
+    @pytest.mark.parametrize("body", [
+        b"\xff{",                # not UTF-8: UnicodeDecodeError
+        b"[" * 100_000,          # past the recursion limit: RecursionError
+    ], ids=["not-utf8", "too-deep"])
+    def test_undecodable_body_returns_400(self, body):
+        server = AsyncReproServer(port=0).start()
+        try:
+            status, reply = _raw_post(server, "/classify", body)
+            assert status == 400
+            assert "invalid JSON body" in reply["error"]
+        finally:
+            server.stop()
+
+
+@pytest.fixture
+def classify_service(small_benchmark):
+    dataset = small_benchmark.test_items
+    model = RCBTClassifier(k=2, nl=2).fit(small_benchmark.train_items)
+    service = RuleService()
+    service.register_model({"name": "m", "model": classifier_to_payload(model)})
+    yield service, model, dataset
+    service.shutdown()
+
+
+class TestClassifyInputValidation:
+    @pytest.mark.parametrize("item", [
+        -1, True, 1.0, 1.5, "3", None, [1], 10**30, 2**63,
+    ], ids=repr)
+    def test_bad_item_id_is_rejected(self, classify_service, item):
+        service, _, _ = classify_service
+        with pytest.raises(ServiceError) as caught:
+            service.resolve_classify({"model": "m", "rows": [[0, item]]})
+        assert caught.value.status == 400
+
+    @pytest.mark.parametrize("rows", [
+        "abc", [[1], "12"], [{"1": 2}], 5,
+    ], ids=repr)
+    def test_rows_must_be_lists_of_lists(self, classify_service, rows):
+        service, _, _ = classify_service
+        with pytest.raises(ServiceError) as caught:
+            service.resolve_classify({"model": "m", "rows": rows})
+        assert caught.value.status == 400
+
+    def test_ids_past_every_antecedent_are_dropped_exactly(
+        self, classify_service
+    ):
+        service, model, dataset = classify_service
+        record = service.registry.get("m")
+        assert 0 < record.item_limit <= dataset.n_items
+        rows = [sorted(row) for row in dataset.rows]
+        padded = [row + [record.item_limit, 2**63 - 1] for row in rows]
+        _, resolved = service.resolve_classify({"model": "m", "rows": padded})
+        assert resolved == [
+            frozenset(i for i in row if i < record.item_limit) for row in rows
+        ]
+        assert model.predict_batch(resolved) == model.predict_batch(
+            dataset.rows
+        )
+
+    @pytest.mark.parametrize("version", [
+        "abc", [1], 1.7, True, "1", -1, 10**30,
+    ], ids=repr)
+    def test_bad_version_is_rejected(self, classify_service, version):
+        service, _, _ = classify_service
+        with pytest.raises(ServiceError) as caught:
+            service.resolve_classify(
+                {"model": "m", "version": version, "rows": [[0]]}
+            )
+        assert caught.value.status == 400
+
+    def test_integer_version_resolves(self, classify_service):
+        service, _, _ = classify_service
+        record, _ = service.resolve_classify(
+            {"model": "m", "version": 1, "rows": [[0]]}
+        )
+        assert record.version == 1
+        with pytest.raises(ServiceError) as caught:
+            service.resolve_classify(
+                {"model": "m", "version": 2, "rows": [[0]]}
+            )
+        assert caught.value.status == 404
+
+
+class TestRegisterModelValidation:
+    @pytest.mark.parametrize("pipeline", [5, "cuts", [1], True])
+    def test_non_object_pipeline_is_rejected(self, classify_service,
+                                             pipeline):
+        service, model, _ = classify_service
+        with pytest.raises(ServiceError) as caught:
+            service.register_model({
+                "name": "piped", "model": classifier_to_payload(model),
+                "pipeline": pipeline,
+            })
+        assert caught.value.status == 400
+        assert "piped" not in service.registry.names()
+
+    @pytest.mark.parametrize("levels", [5, [5]])
+    def test_malformed_model_payload_is_rejected(self, classify_service,
+                                                 levels):
+        service, model, _ = classify_service
+        payload = dict(classifier_to_payload(model), levels=levels)
+        with pytest.raises(ServiceError) as caught:
+            service.register_model({"name": "broken", "model": payload})
+        assert caught.value.status == 400
+
+    def test_malformed_pipeline_object_gives_400_on_values(
+        self, classify_service
+    ):
+        service, model, _ = classify_service
+        service.register_model({
+            "name": "piped", "model": classifier_to_payload(model),
+            "pipeline": {"cuts": 5, "gene_names": [], "class_names": []},
+        })
+        with pytest.raises(ServiceError) as caught:
+            service.resolve_classify({"model": "piped", "values": [[1.0]]})
+        assert caught.value.status == 400
 
 
 class TestOversizePutRetention:

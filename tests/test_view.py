@@ -1,9 +1,16 @@
 """Tests for the MiningView preparation step."""
 
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import pytest
 
 from repro.core.bitset import iter_indices, popcount, to_indices
 from repro.core.view import MiningView
+from repro.data.dataset import DiscretizedDataset
 from repro.data.synthetic import random_discretized_dataset
 
 
@@ -124,3 +131,68 @@ class TestSingleItemGroups:
         groups = view.single_item_groups()
         covered = {item for items in groups.values() for item in items}
         assert covered == set(view.frequent_items)
+
+
+def _live_datasets() -> int:
+    return sum(
+        isinstance(obj, DiscretizedDataset) for obj in gc.get_objects()
+    )
+
+
+class TestCachedViewLifetime:
+    """``MiningView.cached`` views live on their dataset and die with it."""
+
+    @pytest.mark.parametrize("mine", ["topk", "farmer", "hybrid"])
+    def test_mined_dataset_is_collected(self, mine):
+        from repro.baselines.farmer import mine_farmer
+        from repro.core.hybrid import mine_topk_hybrid
+        from repro.core.topk_miner import mine_topk
+
+        miners = {
+            "topk": lambda ds: mine_topk(ds, 1, 2, k=2),
+            "farmer": lambda ds: mine_farmer(ds, 1, 2),
+            "hybrid": lambda ds: mine_topk_hybrid(ds, 1, 2, k=2),
+        }
+        gc.collect()
+        before = _live_datasets()
+        ds = random_discretized_dataset(24, 12, density=0.5, seed=4)
+        miners[mine](ds)
+        ref = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert ref() is None
+        # Hybrid mines build a dataset per partition; none may outlive
+        # the mine either.
+        assert _live_datasets() == before
+
+    def test_concurrent_misses_share_one_view(self):
+        ds = random_discretized_dataset(40, 20, density=0.5, seed=6)
+        views = []
+        barrier = threading.Barrier(8)
+
+        def build():
+            barrier.wait(timeout=10)
+            views.append(MiningView.cached(ds, 1, 2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(views) == 8
+        assert all(view is views[0] for view in views)
+        assert list(ds._mining_views.values()) == [views[0]]
+
+    def test_pickled_dataset_carries_no_views(self):
+        ds = random_discretized_dataset(12, 10, density=0.5, seed=3)
+        view = MiningView.cached(ds, 1, 2)
+        clone = pickle.loads(pickle.dumps(ds))
+        assert clone._mining_views == {}
+        assert MiningView.cached(clone, 1, 2) is not view
+        assert MiningView.cached(ds, 1, 2) is view
