@@ -49,6 +49,9 @@ class FarmerPolicy:
     # engines skip assembling them (an O(n_rows) bitset op per candidate
     # that tall cohorts would otherwise pay for nothing).
     uses_threshold_bits = False
+    # Both pruning tests check the support bound against minsup first,
+    # so the engines may skip a frame's remaining siblings at once.
+    loose_bound_is_minsup_first = True
 
     def __init__(
         self,
@@ -216,8 +219,8 @@ def mine_farmer(
             n_jobs=n_jobs,
             backend=backend,
         )
-    # Resolve here with the farmer task so backend="auto" keeps tall
-    # static-threshold runs on int (see plan_auto_backend).
+    # Resolve here with the farmer task, the plan's input for
+    # backend="auto" (see plan_auto_backend).
     resolved = resolve_backend(backend, n_rows=dataset.n_rows, task="farmer")
     view = MiningView.cached(dataset, consequent, minsup, backend=resolved)
     policy = FarmerPolicy(

@@ -17,12 +17,17 @@ every backend to enforce exactly that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 from .. import bitset as _bitset
 
 __all__ = ["BitsetBackend", "NodeKernel", "ThresholdStore"]
+
+# The threshold of an underfull top-k list, and the fold of no rows.
+_UNDERFULL = (0.0, 0)
+_EMPTY_FOLD = (float("inf"), 0)
 
 #: The per-walk bound kernel the enumeration engines drive: three
 #: callables closed over one support handle and one encoded mask, so a
@@ -39,56 +44,59 @@ NodeKernel = namedtuple(
 class ThresholdStore:
     """Per-position (confidence, support) thresholds with a min-fold.
 
-    The top-k policy maintains one threshold pair per consequent-class
-    row (the k-th list entry of Equations 1-2) and, at every pruning
-    check, needs the lexicographic minimum of those pairs over the rows
-    of a ``threshold_bits`` bitset.  That fold is the dominant per-node
-    cost on tall datasets — O(set bits) Python-loop iterations, each
-    shaving the lowest bit off a multi-word int — so it is a backend
-    strategy point: :meth:`BitsetBackend.make_threshold_store` lets an
-    array backend keep the pairs in vectorized storage and fold them in
-    a handful of C calls.
+    The top-k policy keeps one threshold pair per consequent-class row
+    (the k-th list entry of Equations 1-2) and, at every pruning check,
+    needs the lexicographic minimum of those pairs over the rows of a
+    ``threshold_bits`` bitset.  That fold runs once per enumeration
+    node, so the store is level-bucketed: one position bitset per
+    distinct pair, with the pairs kept in ascending order.  ``fold``
+    returns the first pair whose bitset meets ``bits`` — a few big-int
+    ANDs instead of one Python step per set bit — and ``update`` moves
+    one position between levels, dropping a level once it empties.
 
-    The contract mirrors the rest of the package: ``update`` writes one
-    position's pair, ``fold`` returns exactly what the reference loop
-    below returns (a full lexicographic min; ``(0.0, 0)`` is the global
-    minimum, so early exit never changes the result), and every store is
-    bit-identical by construction.  Positions start at ``(0.0, 0)`` —
-    the threshold of an underfull top-k list.
+    Positions start at ``(0.0, 0)``, the threshold of an underfull
+    top-k list.  ``fold`` of an empty bitset returns ``(inf, 0)``, what
+    the per-bit reference loop returns.
     """
 
-    __slots__ = ("confs", "sups")
+    __slots__ = ("_pairs", "_keys", "_levels")
 
     def __init__(self, n_positive: int) -> None:
-        self.confs: list[float] = [0.0] * n_positive
-        self.sups: list[int] = [0] * n_positive
+        # position -> its pair; _keys ascending, _levels aligned with it.
+        self._pairs: list[tuple[float, int]] = [_UNDERFULL] * n_positive
+        self._keys: list[tuple[float, int]] = [_UNDERFULL] if n_positive else []
+        self._levels: list[int] = [(1 << n_positive) - 1] if n_positive else []
 
     def update(self, position: int, conf: float, sup: int) -> None:
-        self.confs[position] = conf
-        self.sups[position] = sup
+        key = (conf, sup)
+        old = self._pairs[position]
+        if key == old:
+            return
+        self._pairs[position] = key
+        keys = self._keys
+        levels = self._levels
+        bit = 1 << position
+        index = bisect_left(keys, old)
+        remaining = levels[index] ^ bit
+        if remaining:
+            levels[index] = remaining
+        else:
+            del keys[index]
+            del levels[index]
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            levels[index] |= bit
+        else:
+            keys.insert(index, key)
+            levels.insert(index, bit)
 
     def fold(self, bits: int) -> tuple[float, int]:
-        """Lexicographic min of ``(conf, sup)`` over the set positions.
-
-        ``bits`` must be non-empty; the caller treats an empty row set
-        as unconditionally prunable before consulting thresholds.
-        """
-        min_conf = float("inf")
-        min_sup = 0
-        confs = self.confs
-        sups = self.sups
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            position = low.bit_length() - 1
-            conf = confs[position]
-            sup = sups[position]
-            if conf < min_conf or (conf == min_conf and sup < min_sup):
-                min_conf = conf
-                min_sup = sup
-                if min_conf == 0.0 and min_sup == 0:
-                    break
-        return min_conf, min_sup
+        """Lexicographic min of ``(conf, sup)`` over the set positions."""
+        if bits:
+            for key, level in zip(self._keys, self._levels):
+                if level & bits:
+                    return key
+        return _EMPTY_FOLD
 
 
 class BitsetBackend:
@@ -212,16 +220,6 @@ class BitsetBackend:
         """``(popcount(bits & mask), popcount(bits))`` for one fresh
         bitset (the candidate set a node derives in int space)."""
         return (bits & mask).bit_count(), bits.bit_count()
-
-    def make_threshold_store(self, n_positive: int) -> ThresholdStore:
-        """Create the dynamic-threshold store for a top-k run.
-
-        Array backends override this to keep the per-row threshold pairs
-        in vectorized storage so the per-node min-fold of Equations 1-2
-        runs in C instead of a Python bit-shaving loop.  Every store
-        returns exactly what :meth:`ThresholdStore.fold` returns.
-        """
-        return ThresholdStore(n_positive)
 
     def node_kernel(self, handle, mask) -> NodeKernel:
         """Bind the fused folds for one enumeration walk.

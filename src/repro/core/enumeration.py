@@ -80,9 +80,18 @@ class SearchPolicy(Protocol):
     pass ``0`` instead of assembling the row sets — an O(n_rows) bitset
     op per candidate that matters on tall datasets.  Pruning decisions,
     node order and :class:`MinerStats` are unaffected.
+
+    A policy whose loose test checks the support bound ``x_p + r_p``
+    against :attr:`minsup` before anything else can declare
+    ``loose_bound_is_minsup_first = True`` (default ``False``).  Once a
+    candidate fails that bound, every later sibling in its frame fails
+    it too, so the engines charge those siblings to ``nodes_visited``
+    and ``loose_pruned`` in one step and leave the frame.  Counters,
+    budget trips and outputs match the one-at-a-time walk exactly.
     """
 
     uses_threshold_bits: bool = True
+    loose_bound_is_minsup_first: bool = False
 
     @property
     def minsup(self) -> int:
@@ -169,17 +178,72 @@ class _Budget:
             self.node_budget is not None
             and self.stats.nodes_visited > self.node_budget
         ):
-            self.stats.completed = False
-            raise MiningBudgetExceeded(
-                f"node budget {self.node_budget} exceeded", self.stats
-            )
+            self._overrun()
         if self.stats.nodes_visited % POLL_STRIDE == 0:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                self.stats.completed = False
-                raise MiningBudgetExceeded("time budget exceeded", self.stats)
-            if self.cancel is not None and self.cancel.is_set():
-                self.stats.completed = False
-                raise MiningBudgetExceeded("mining cancelled", self.stats)
+            self._poll()
+
+    def charge_nodes(self, n: int) -> None:
+        """Charge ``n`` nodes at once, exactly as ``n`` :meth:`charge_node`
+        calls would: every :data:`POLL_STRIDE` crossing still polls the
+        deadline and the cancel token, and a raise leaves
+        ``nodes_visited`` at the node where the one-at-a-time walk would
+        have raised."""
+        stats = self.stats
+        end = stats.nodes_visited + n
+        last_ok = end
+        if self.node_budget is not None and end > self.node_budget:
+            last_ok = self.node_budget
+        crossing = (stats.nodes_visited // POLL_STRIDE + 1) * POLL_STRIDE
+        while crossing <= last_ok:
+            stats.nodes_visited = crossing
+            self._poll()
+            crossing += POLL_STRIDE
+        if last_ok < end:
+            stats.nodes_visited = last_ok + 1
+            self._overrun()
+        stats.nodes_visited = end
+
+    def _overrun(self) -> None:
+        self.stats.completed = False
+        raise MiningBudgetExceeded(
+            f"node budget {self.node_budget} exceeded", self.stats
+        )
+
+    def _poll(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            self.stats.completed = False
+            raise MiningBudgetExceeded("time budget exceeded", self.stats)
+        if self.cancel is not None and self.cancel.is_set():
+            self.stats.completed = False
+            raise MiningBudgetExceeded("mining cancelled", self.stats)
+
+
+def _charge_pruned_siblings(budget: _Budget, n: int) -> None:
+    """Charge the ``n`` siblings after a support-bound loose prune.
+
+    Within a frame ``seed_p + rem_p`` never grows, and a pruned sibling
+    emits nothing, so ``minsup`` cannot move: once a candidate fails the
+    support bound of Lemma 3.2, every later sibling fails the same test.
+    The walkers leave the frame and charge those siblings here in one
+    step; the caller adds ``n`` to its loose-prune count on return.  On
+    an overrun the siblings before the overrun node are counted into the
+    stats directly, as the one-at-a-time walk would have counted them.
+    """
+    stats = budget.stats
+    start = stats.nodes_visited
+    try:
+        budget.charge_nodes(n)
+    except MiningBudgetExceeded:
+        stats.loose_pruned += stats.nodes_visited - start - 1
+        raise
+
+
+def _siblings_left(cand: list, index: int, allowed: Optional[int]) -> int:
+    """Candidates from ``cand[index]`` on that a list walker would charge
+    (at the root frame, only the rows of the ``first_rows`` shard)."""
+    if allowed is None:
+        return len(cand) - index
+    return sum(1 for row in cand[index:] if allowed >> row & 1)
 
 
 def run_enumeration(
@@ -289,6 +353,7 @@ def _walk_bitset(
     # sets, and assembling them is an O(n_rows/64) bitset op per
     # candidate — on tall cohorts that is real money for nothing.
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
+    skip_siblings = getattr(policy, "loose_bound_is_minsup_first", False)
 
     all_rows = mask_below(view.n_rows)
     root_rem_p = bit_count(all_rows & positive_mask)
@@ -326,6 +391,13 @@ def _walk_bitset(
                     threshold_bits = 0
                 if loose_prunable(seed_p, seed_n, rem_p, rem_n, threshold_bits):
                     loose += 1
+                    if skip_siblings and seed_p + rem_p < policy.minsup:
+                        rest = todo if allowed is None else todo & allowed
+                        if rest:
+                            n_rest = bit_count(rest)
+                            _charge_pruned_siblings(budget, n_rest)
+                            loose += n_rest
+                        break
                     continue
                 if x_bits:
                     present = row_items[r_bit.bit_length() - 1]
@@ -419,6 +491,7 @@ def _walk_table(
     # on purpose: this engine exists to preserve FARMER's per-node cost
     # profile, so it takes no SupportIndex memo.
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
+    skip_siblings = getattr(policy, "loose_bound_is_minsup_first", False)
     root_tuples = [
         (item, sorted(iter_indices(view.item_rows[item])))
         for item in view.frequent_items
@@ -471,6 +544,12 @@ def _walk_table(
                     threshold_bits = 0
                 if loose_prunable(seed_p, seed_n, rest_p, rest_n, threshold_bits):
                     loose += 1
+                    if skip_siblings and seed_p + rest_p < policy.minsup:
+                        n_rest = _siblings_left(cand, index, allowed)
+                        if n_rest:
+                            _charge_pruned_siblings(budget, n_rest)
+                            loose += n_rest
+                        break
                     continue
                 # Project: keep tuples whose row list contains r (bisect
                 # scan, the authentic per-node cost of pointer FARMER).
@@ -573,6 +652,7 @@ def _walk_tree(
     kernel = support.node_kernel()
     intersect_counts = kernel.intersect_counts
     needs_thresholds = getattr(policy, "uses_threshold_bits", True)
+    skip_siblings = getattr(policy, "loose_bound_is_minsup_first", False)
 
     # The root tree and its per-row projections are pure functions of the
     # view; both come from the SupportIndex (kernels only read projected
@@ -628,6 +708,12 @@ def _walk_tree(
                     threshold_bits = 0
                 if loose_prunable(seed_p, seed_n, rest_p, rest_n, threshold_bits):
                     loose += 1
+                    if skip_siblings and seed_p + rest_p < policy.minsup:
+                        n_rest = _siblings_left(cand, index, allowed)
+                        if n_rest:
+                            _charge_pruned_siblings(budget, n_rest)
+                            loose += n_rest
+                        break
                     continue
                 if x_bits:
                     projected = tree.project(r)

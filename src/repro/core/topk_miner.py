@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .backends import ThresholdStore
 from .bitset import iter_indices, popcount
 
 if TYPE_CHECKING:  # pragma: no cover - import is for annotations only
@@ -92,6 +93,11 @@ class _CanonicalRowKey:
 class TopkPolicy:
     """Search policy implementing the top-k pruning of Section 4.1.1."""
 
+    # Both pruning tests check the Lemma 3.2 support bound against
+    # minsup before anything else, which lets the engines skip the rest
+    # of a frame once that bound fails (see SearchPolicy).
+    loose_bound_is_minsup_first = True
+
     def __init__(
         self,
         view: MiningView,
@@ -111,10 +117,10 @@ class TopkPolicy:
         self.lists: list[TopKList] = [
             TopKList(k, canonical_key=canonical) for _ in range(view.n_positive)
         ]
-        # The per-row (kth_conf, kth_sup) pairs mirrored into the
-        # backend's threshold store, whose min-fold answers Equations
-        # 1-2 at every pruning check (vectorized on array backends).
-        self._store = view.backend.make_threshold_store(view.n_positive)
+        # The per-row (kth_conf, kth_sup) pairs mirrored into a
+        # level-bucketed store, whose min-fold answers Equations 1-2 at
+        # every pruning check.
+        self._store = ThresholdStore(view.n_positive)
         if initialize_single_items:
             self._initialize_from_single_items()
 
@@ -144,7 +150,9 @@ class TopkPolicy:
             return True
         if not self.use_topk_pruning:
             return False
-        min_conf, min_sup = self._thresholds(threshold_bits)
+        # Equations 1-2: the weakest k-th entry among the rows that can
+        # still benefit, folded by the level-bucketed store (DESIGN.md §12).
+        min_conf, min_sup = self._store.fold(threshold_bits)
         conf_ub = sup_ub / (sup_ub + x_n)
         if conf_ub < min_conf:
             return True
@@ -179,16 +187,6 @@ class TopkPolicy:
             self._maybe_raise_minsup()
 
     # -- internals ---------------------------------------------------------
-
-    def _thresholds(self, threshold_bits: int) -> tuple[float, int]:
-        """Equations 1-2: the weakest k-th entry among the given rows.
-
-        Delegates to the backend threshold store, which mirrors the
-        ``kth_conf``/``kth_sup`` pair of every per-row list (synced on
-        each accepted offer).  This runs once per pruning check, for
-        every node; array backends fold it in C (DESIGN.md §12).
-        """
-        return self._store.fold(threshold_bits)
 
     def _initialize_from_single_items(self) -> None:
         """Seed the per-row lists from single-item rule statistics.

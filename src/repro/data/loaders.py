@@ -110,7 +110,14 @@ def discretized_to_payload(dataset: DiscretizedDataset) -> dict:
 
 
 def discretized_from_payload(payload: dict) -> DiscretizedDataset:
-    """Rebuild a dataset from a :func:`discretized_to_payload` payload."""
+    """Rebuild a dataset from a :func:`discretized_to_payload` payload.
+
+    Raises:
+        ValueError: a row carries an item id that is not a JSON integer
+            (bools included) in ``[0, len(items))``.  Mining sizes its
+            per-item tables by the largest id, so an unchecked id would
+            fail deep inside a mine or allocate a table of that length.
+    """
     items = [
         Item(
             entry["item_id"],
@@ -121,6 +128,14 @@ def discretized_from_payload(payload: dict) -> DiscretizedDataset:
         )
         for entry in payload["items"]
     ]
+    n_items = len(items)
+    for index, row in enumerate(payload["rows"]):
+        for item_id in row:
+            if type(item_id) is not int or not 0 <= item_id < n_items:
+                raise ValueError(
+                    f"row {index}: item id {item_id!r} is not an integer "
+                    f"in [0, {n_items})"
+                )
     return DiscretizedDataset(
         payload["rows"],
         payload["labels"],

@@ -106,13 +106,15 @@ def topk_result_to_payload(result: TopkResult) -> dict:
 
 
 def _validate_positive(body: dict, name: str, default, integral: bool):
-    """Validate an optional positive field (a budget, ``minsup``) of ``/mine``.
+    """Validate an optional positive field of ``/mine``.
+
+    The fields are the node and time budgets, ``minsup`` and ``k``.
 
     A missing field falls back to ``default``; an explicit JSON ``null``
-    means "none" (no budget, a relative minsup).  Anything non-numeric
-    (or non-positive) is rejected here with a 400 instead of reaching
-    ``mine_topk`` on the worker thread and surfacing as a FAILED job
-    with a traceback.
+    means "none" (no budget, a relative minsup, the default ``k``).
+    Anything non-numeric (or non-positive) is rejected here with a 400
+    instead of reaching ``mine_topk`` on the worker thread and surfacing
+    as a FAILED job with a traceback.
     """
     if name not in body:
         return default
@@ -389,18 +391,16 @@ class RuleService:
             dataset = discretized_from_payload(items)
         except (KeyError, ValueError, TypeError) as error:
             raise ServiceError(400, f"bad 'items' payload: {error}")
-        try:
-            consequent = int(body.get("consequent", 1))
-            k = int(body.get("k", 1))
-        except (TypeError, ValueError):
-            raise ServiceError(400, "'consequent' and 'k' must be integers")
+        consequent = body.get("consequent", 1)
+        if type(consequent) is not int:
+            raise ServiceError(400, "'consequent' must be an integer")
         if not 0 <= consequent < dataset.n_classes:
             raise ServiceError(
                 400, f"consequent {consequent} out of range for "
                      f"{dataset.n_classes} classes"
             )
-        if k < 1:
-            raise ServiceError(400, f"k must be >= 1, got {k}")
+        # A null k means the default, as a null minsup or budget does.
+        k = _validate_positive(body, "k", 1, integral=True) or 1
         engine = body.get("engine", "bitset")
         if engine not in ENGINES:
             raise ServiceError(

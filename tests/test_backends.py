@@ -15,12 +15,13 @@ from functools import reduce
 from operator import and_, or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit.generator import generate_cases
 from repro.baselines.farmer import mine_farmer
 from repro.core import bitset as B
 from repro.core.backends import (
-    AUTO_TALL_ROWS,
     DEFAULT_BACKEND,
     ENV_VAR,
     BitsetBackend,
@@ -104,21 +105,18 @@ class TestRegistry:
 
 class TestAutoBackend:
     def test_paper_scale_stays_on_int(self):
-        for n_rows in (4, 38, 102, AUTO_TALL_ROWS - 1):
+        for n_rows in (4, 38, 102, 255):
             assert plan_auto_backend(n_rows) == "int"
 
-    def test_tall_topk_picks_vectorized_when_available(self):
-        chosen = plan_auto_backend(AUTO_TALL_ROWS)
-        if "numpy" in BACKENDS:
-            assert chosen == "numpy"
-        else:
-            # packed never beats int, so a numpy-free host keeps the
-            # default rather than auto-selecting a slower backend.
-            assert chosen == "int"
-        assert plan_auto_backend(16384) == chosen
+    def test_tall_topk_stays_on_int(self):
+        """With the level-bucketed threshold store and the sibling skip,
+        int beats numpy on tall top-k too (BENCH_core.json), so no row
+        count moves the plan off the default."""
+        for n_rows in (256, 512, 16384):
+            assert plan_auto_backend(n_rows) == "int"
 
     def test_farmer_task_stays_on_int_at_every_size(self):
-        for n_rows in (38, AUTO_TALL_ROWS, 16384):
+        for n_rows in (38, 256, 16384):
             assert plan_auto_backend(n_rows, task="farmer") == "int"
 
     def test_resolve_auto_needs_a_row_count(self):
@@ -127,8 +125,8 @@ class TestAutoBackend:
 
     def test_resolve_auto_follows_the_plan_and_counts_choices(self):
         before = auto_backend_stats()
-        resolved = resolve_backend("auto", n_rows=AUTO_TALL_ROWS)
-        assert resolved.name == plan_auto_backend(AUTO_TALL_ROWS)
+        resolved = resolve_backend("auto", n_rows=512)
+        assert resolved.name == plan_auto_backend(512) == "int"
         after = auto_backend_stats()
         assert after[resolved.name] == before[resolved.name] + 1
 
@@ -140,7 +138,7 @@ class TestAutoBackend:
 
 
 # ---------------------------------------------------------------------------
-# Threshold stores: every backend's min-fold == the reference loop
+# The level-bucketed threshold store == the per-bit reference loop
 # ---------------------------------------------------------------------------
 
 
@@ -156,37 +154,132 @@ def _reference_fold(confs, sups, bits):
     return best
 
 
+def _mined_policy(backend_name):
+    """A top-k policy after a full walk on a tall view of ``backend``:
+    its store has seen every accepted offer of a real mine."""
+    from repro.core.enumeration import run_enumeration
+    from repro.core.topk_miner import TopkPolicy
+
+    view = _tall_view(backend_name)
+    policy = TopkPolicy(view, 2)
+    run_enumeration(view, policy, engine="bitset")
+    return view, policy
+
+
+def _tall_view(backend_name):
+    """~150 rows, so the positions span more than one 64-bit word."""
+    from repro.core.topk_miner import relative_minsup
+    from repro.data import generate_tall_cohort
+
+    dataset = generate_tall_cohort("tall-1k", scale=0.15)
+    minsup = relative_minsup(dataset, 1, 0.7)
+    return MiningView(dataset, 1, minsup, backend=backend_name)
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestThresholdStore:
+    """The store a TopkPolicy keeps stays in sync with its per-row
+    lists on every backend's walk, over multi-word position sets."""
+
     def test_fold_matches_reference(self, backend_name):
         import random
 
+        view, policy = _mined_policy(backend_name)
+        assert view.n_positive > 64
+        confs = [topk.kth_conf for topk in policy.lists]
+        sups = [topk.kth_sup for topk in policy.lists]
         rng = random.Random(2024)
-        n_positive = 213  # multiple words plus a ragged tail
-        store = get_backend(backend_name).make_threshold_store(n_positive)
-        assert isinstance(store, ThresholdStore)
+        for _ in range(200):
+            bits = B.from_indices(rng.sample(
+                range(view.n_positive), rng.randint(1, view.n_positive)
+            ))
+            assert policy._store.fold(bits) == _reference_fold(
+                confs, sups, bits
+            )
+
+    def test_initial_pairs_are_underfull_thresholds(self, backend_name):
+        from repro.core.topk_miner import TopkPolicy
+
+        view = _tall_view(backend_name)
+        policy = TopkPolicy(view, 2, initialize_single_items=False)
+        assert policy._store.fold(view.positive_mask) == (0.0, 0)
+
+    def test_single_position_fold(self, backend_name):
+        _view, policy = _mined_policy(backend_name)
+        for position, topk in enumerate(policy.lists):
+            assert policy._store.fold(B.bit(position)) == (
+                topk.kth_conf, topk.kth_sup
+            )
+
+
+class TestLevelStore:
+    def test_empty_bits_fold_to_infinity(self):
+        store = ThresholdStore(3)
+        assert store.fold(0) == (float("inf"), 0)
+        assert ThresholdStore(0).fold(0) == (float("inf"), 0)
+
+    def test_update_to_the_pair_already_held(self):
+        store = ThresholdStore(70)
+        store.update(69, 0.75, 9)
+        store.update(69, 0.75, 9)
+        assert store.fold(B.bit(69)) == (0.75, 9)
+        store.update(3, 0.0, 0)  # the initial pair: a no-op
+        assert store.fold(B.from_indices([3, 69])) == (0.0, 0)
+        assert store._keys == [(0.0, 0), (0.75, 9)]
+
+    def test_emptied_level_is_dropped_and_recreated(self):
+        store = ThresholdStore(2)
+        store.update(0, 0.5, 4)
+        store.update(1, 0.5, 4)
+        assert store._keys == [(0.5, 4)]
+        store.update(0, 0.9, 7)
+        store.update(1, 0.9, 7)
+        assert store._keys == [(0.9, 7)]
+        assert store.fold(B.from_indices([0, 1])) == (0.9, 7)
+        store.update(1, 0.5, 4)
+        assert store._keys == [(0.5, 4), (0.9, 7)]
+        assert store.fold(B.bit(1)) == (0.5, 4)
+        assert store.fold(B.bit(0)) == (0.9, 7)
+
+    def test_fold_over_bits_only_in_higher_levels(self):
+        store = ThresholdStore(130)
+        store.update(128, 1.0, 2)
+        store.update(129, 0.5, 8)
+        store.update(64, 0.5, 3)
+        # Position 0 keeps (0.0, 0), the lowest level; bits that skip
+        # it and the (0.5, 3) level land on the next ones up.
+        assert store.fold(B.from_indices([128, 129])) == (0.5, 8)
+        assert store.fold(B.bit(128)) == (1.0, 2)
+        assert store.fold(B.from_indices([64, 128])) == (0.5, 3)
+
+    @given(
+        n_positive=st.integers(65, 200),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)),
+                st.integers(0, 6),
+                st.integers(0, 2**200),
+            ),
+            min_size=1, max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fold_equals_reference_after_random_updates(
+        self, n_positive, steps
+    ):
+        store = ThresholdStore(n_positive)
         confs = [0.0] * n_positive
         sups = [0] * n_positive
-        for _ in range(400):
-            position = rng.randrange(n_positive)
-            conf = rng.choice((0.0, 0.25, 0.5, rng.random(), 1.0))
-            sup = rng.randrange(0, 40)
+        for position, conf, sup, bits in steps:
+            position %= n_positive
             store.update(position, conf, sup)
             confs[position] = conf
             sups[position] = sup
-            bits = B.from_indices(
-                rng.sample(range(n_positive), rng.randint(1, n_positive))
-            )
+            bits &= (1 << n_positive) - 1
             assert store.fold(bits) == _reference_fold(confs, sups, bits)
-
-    def test_initial_pairs_are_underfull_thresholds(self, backend_name):
-        store = get_backend(backend_name).make_threshold_store(70)
-        assert store.fold(B.from_indices([0, 64, 69])) == (0.0, 0)
-
-    def test_single_position_fold(self, backend_name):
-        store = get_backend(backend_name).make_threshold_store(130)
-        store.update(129, 0.75, 9)
-        assert store.fold(B.bit(129)) == (0.75, 9)
+        full = (1 << n_positive) - 1
+        assert store.fold(full) == _reference_fold(confs, sups, full)
 
 
 class TestResolvePrecedence:

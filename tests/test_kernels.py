@@ -10,27 +10,41 @@ and every ``MinerStats`` counter must match exactly.
 
 The reference implementations below are the pre-rewrite recursive
 walkers, kept verbatim (minus the hot-path local bindings) as executable
-specification.  Cases come from the audit generator, so the comparison
+specification.  They charge every node through the one-at-a-time
+``_Budget.charge_node``, so a node budget or a cancel trips in them
+where the specification says it does.  Cases come from the audit generator, so the comparison
 covers the same degenerate shapes (duplicates, empty rows, single class,
 tie-heavy lists) the differential audit sweeps.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from bisect import bisect_left
 from itertools import product
 from typing import Optional, Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.audit.generator import generate_cases
 from repro.baselines.farmer import FarmerPolicy
 from repro.core.backends import available_backends
 from repro.core.bitset import iter_indices, mask_below
-from repro.core.enumeration import ENGINES, MinerStats, run_enumeration
+from repro.core.enumeration import (
+    ENGINES,
+    POLL_STRIDE,
+    MinerStats,
+    _Budget,
+    run_enumeration,
+)
 from repro.core.prefix_tree import PrefixTree
 from repro.core.topk_miner import TopkPolicy
 from repro.core.view import MiningView
+from repro.data import TALL_COHORTS, generate_tall_cohort
+from repro.errors import MiningBudgetExceeded
 
 # The 2^3 combinations of the paper's §4.1.1 optimizations.
 FLAG_COMBOS = tuple(
@@ -50,7 +64,8 @@ CASES = generate_cases(seed=7, n_cases=8)
 # ---------------------------------------------------------------------------
 
 
-def _reference_bitset(view, policy, stats, first_rows=None) -> None:
+def _reference_bitset(view, policy, budget, first_rows=None) -> None:
+    stats = budget.stats
     item_rows = view.item_rows
     row_items = view.row_items
     positive_mask = view.positive_mask
@@ -71,7 +86,7 @@ def _reference_bitset(view, policy, stats, first_rows=None) -> None:
                 seed_p, seed_n = x_p, x_n + 1
             if allowed is not None and not allowed & r_bit:
                 continue
-            stats.nodes_visited += 1
+            budget.charge_node()
             threshold_bits = ((x_bits | r_bit) | remaining) & positive_mask
             if policy.loose_prunable(seed_p, seed_n, rem_p, rem_n,
                                      threshold_bits):
@@ -109,7 +124,8 @@ def _reference_bitset(view, policy, stats, first_rows=None) -> None:
             first_rows)
 
 
-def _reference_table(view, policy, stats, first_rows=None) -> None:
+def _reference_table(view, policy, budget, first_rows=None) -> None:
+    stats = budget.stats
     positive_mask = view.positive_mask
     n_positive = view.n_positive
     bit_count = int.bit_count
@@ -138,7 +154,7 @@ def _reference_table(view, policy, stats, first_rows=None) -> None:
                 seed_p, seed_n = x_p, x_n + 1
             if allowed is not None and not allowed & r_bit:
                 continue
-            stats.nodes_visited += 1
+            budget.charge_node()
             threshold_bits = ((x_bits | r_bit) & positive_mask) | rest_pos_bits
             if policy.loose_prunable(seed_p, seed_n, rest_p, rest_n,
                                      threshold_bits):
@@ -194,7 +210,8 @@ def _reference_table(view, policy, stats, first_rows=None) -> None:
     recurse(0, 0, 0, root_tuples, list(range(view.n_rows)), first_rows)
 
 
-def _reference_tree(view, policy, stats, first_rows=None) -> None:
+def _reference_tree(view, policy, budget, first_rows=None) -> None:
+    stats = budget.stats
     positive_mask = view.positive_mask
     n_positive = view.n_positive
     item_rows = view.item_rows
@@ -225,7 +242,7 @@ def _reference_tree(view, policy, stats, first_rows=None) -> None:
                 seed_p, seed_n = x_p, x_n + 1
             if allowed is not None and not allowed & r_bit:
                 continue
-            stats.nodes_visited += 1
+            budget.charge_node()
             threshold_bits = ((x_bits | r_bit) & positive_mask) | rest_pos_bits
             if policy.loose_prunable(seed_p, seed_n, rest_p, rest_n,
                                      threshold_bits):
@@ -281,10 +298,25 @@ COUNTERS = (
 
 
 def _run_reference(view, policy, engine: str,
-                   first_rows: Optional[int] = None) -> MinerStats:
+                   first_rows: Optional[int] = None,
+                   node_budget: Optional[int] = None,
+                   cancel=None) -> MinerStats:
+    """Run a reference walker; on a budget trip return the partial stats."""
     stats = MinerStats(engine=engine)
-    REFERENCE_WALKERS[engine](view, policy, stats, first_rows)
+    budget = _Budget(stats, node_budget, None, cancel)
+    try:
+        REFERENCE_WALKERS[engine](view, policy, budget, first_rows)
+    except MiningBudgetExceeded:
+        pass
     return stats
+
+
+def _run_kernel(view, policy, engine: str, **kwargs) -> MinerStats:
+    """``run_enumeration``; on a budget trip return the partial stats."""
+    try:
+        return run_enumeration(view, policy, engine=engine, **kwargs)
+    except MiningBudgetExceeded as overrun:
+        return overrun.stats
 
 
 def _snapshot(policy: TopkPolicy) -> list:
@@ -444,3 +476,205 @@ class TestSupportIndex:
             int.bit_count(view.item_rows[item]) for item in view.frequent_items
         )
         assert index.support_mass == expected
+
+
+# ---------------------------------------------------------------------------
+# Budgets under the bulk sibling-suffix skip
+# ---------------------------------------------------------------------------
+#
+# The kernels charge a frame's trailing support-bound prunes in one
+# ``_Budget.charge_nodes`` step; the reference walkers above charge one
+# node at a time through ``_Budget.charge_node``.  A node budget, a
+# cancel token or a deadline that trips inside a skipped suffix must
+# leave exactly the partial stats and lists of the one-at-a-time walk.
+
+
+def _tall_view() -> MiningView:
+    """A 64-row tall cohort: hundreds of frames end in a run of
+    support-bound prunes, and about half of those runs cross a poll."""
+    dataset = generate_tall_cohort(
+        dataclasses.replace(TALL_COHORTS["tall-1k"], n_rows=64, seed=1)
+    )
+    minsup = math.ceil(0.7 * dataset.class_counts()[1])
+    return MiningView(dataset, 1, minsup)
+
+
+TALL_VIEW = _tall_view()
+
+POLICIES = {
+    "topk": lambda view: TopkPolicy(view, 2),
+    "farmer": lambda view: FarmerPolicy(view, minconf=0.5),
+}
+
+
+def _outcome(stats: MinerStats, policy) -> tuple:
+    if isinstance(policy, TopkPolicy):
+        groups = _snapshot(policy)
+    else:
+        groups = [(g.antecedent, g.row_set, g.support) for g in policy.groups]
+    return _counters(stats), stats.completed, groups
+
+
+def _skipped_suffixes(monkeypatch, view, policy_kind, engine,
+                      first_rows=None) -> list[tuple[int, int]]:
+    """``(nodes_visited before, n)`` of every bulk charge of a full run."""
+    calls = []
+    charge_nodes = _Budget.charge_nodes
+
+    def recording(self, n):
+        calls.append((self.stats.nodes_visited, n))
+        return charge_nodes(self, n)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Budget, "charge_nodes", recording)
+        run_enumeration(view, POLICIES[policy_kind](view), engine=engine,
+                        first_rows=first_rows)
+    return calls
+
+
+class _CancelAtPoll:
+    """A token that reads as set from its ``poll``-th check on."""
+
+    def __init__(self, poll: int) -> None:
+        self.poll = poll
+        self.checks = 0
+
+    def is_set(self) -> bool:
+        self.checks += 1
+        return self.checks >= self.poll
+
+
+class TestBudgetsUnderSiblingSkip:
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("policy_kind", sorted(POLICIES))
+    def test_node_budget_partial_stats_match(self, monkeypatch, engine,
+                                             policy_kind):
+        view = TALL_VIEW
+        suffixes = _skipped_suffixes(monkeypatch, view, policy_kind, engine)
+        long_runs = [(start, n) for start, n in suffixes if n >= 4]
+        assert long_runs, "the cohort must exercise the sibling skip"
+        first_start, first_n = long_runs[0]
+        last_start, last_n = long_runs[-1]
+        total = run_enumeration(
+            view, POLICIES[policy_kind](view), engine=engine
+        ).nodes_visited
+        budgets = sorted({
+            1, 2, POLL_STRIDE - 1, POLL_STRIDE, POLL_STRIDE + 1,
+            first_start,                  # trips on the node that skips
+            first_start + 1,              # trips on the suffix's first node
+            first_start + first_n // 2,   # trips inside the suffix
+            first_start + first_n - 1,    # trips on the suffix's last node
+            first_start + first_n,        # the suffix fits exactly
+            last_start + last_n // 2,
+            total - 1, total, total + 1,
+        })
+        for node_budget in budgets:
+            reference_policy = POLICIES[policy_kind](view)
+            reference = _run_reference(view, reference_policy, engine,
+                                       node_budget=node_budget)
+            kernel_policy = POLICIES[policy_kind](view)
+            kernel = _run_kernel(view, kernel_policy, engine,
+                                 node_budget=node_budget)
+            label = f"engine {engine}, node_budget {node_budget}"
+            assert _outcome(kernel, kernel_policy) == _outcome(
+                reference, reference_policy
+            ), label
+            assert kernel.completed == (node_budget >= total), label
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cancel_at_a_poll_inside_a_suffix_matches(self, monkeypatch,
+                                                      engine):
+        view = TALL_VIEW
+        suffixes = _skipped_suffixes(monkeypatch, view, "topk", engine)
+        # Poll j runs at node j * POLL_STRIDE; keep the polls a skipped
+        # suffix crosses, so the cancel lands inside one bulk charge.
+        inside = sorted({
+            crossing // POLL_STRIDE
+            for start, n in suffixes
+            for crossing in range(
+                (start // POLL_STRIDE + 1) * POLL_STRIDE,
+                start + n + 1,
+                POLL_STRIDE,
+            )
+        })
+        assert inside, "some suffix must cross a poll"
+        for poll in [1, *inside[:3], inside[-1]]:
+            reference_token = _CancelAtPoll(poll)
+            reference_policy = TopkPolicy(view, 2)
+            reference = _run_reference(view, reference_policy, engine,
+                                       cancel=reference_token)
+            kernel_token = _CancelAtPoll(poll)
+            kernel_policy = TopkPolicy(view, 2)
+            kernel = _run_kernel(view, kernel_policy, engine,
+                                 cancel=kernel_token)
+            label = f"engine {engine}, cancel at poll {poll}"
+            assert kernel.nodes_visited == poll * POLL_STRIDE, label
+            assert kernel_token.checks == reference_token.checks == poll
+            assert _outcome(kernel, kernel_policy) == _outcome(
+                reference, reference_policy
+            ), label
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_first_rows_sharding_matches(self, monkeypatch, engine):
+        """Root-frame skips count only the rows of the shard."""
+        view = TALL_VIEW
+        n_rows = view.n_rows
+        shards = {
+            "first half": mask_below(n_rows // 2),
+            "second half": mask_below(n_rows) & ~mask_below(n_rows // 2),
+            "odd rows": sum(1 << row for row in range(1, n_rows, 2)),
+        }
+        for name, shard in shards.items():
+            suffixes = _skipped_suffixes(monkeypatch, view, "topk", engine,
+                                         first_rows=shard)
+            start, n = max(suffixes, key=lambda call: call[1])
+            for node_budget in (None, start + n // 2 + 1):
+                reference_policy = TopkPolicy(view, 2)
+                reference = _run_reference(view, reference_policy, engine,
+                                           first_rows=shard,
+                                           node_budget=node_budget)
+                kernel_policy = TopkPolicy(view, 2)
+                kernel = _run_kernel(view, kernel_policy, engine,
+                                     first_rows=shard,
+                                     node_budget=node_budget)
+                label = f"engine {engine}, {name}, budget {node_budget}"
+                assert _outcome(kernel, kernel_policy) == _outcome(
+                    reference, reference_policy
+                ), label
+
+
+class TestChargeNodes:
+    """``charge_nodes(n)`` == ``n`` x ``charge_node()``, raise for raise."""
+
+    @staticmethod
+    def _charge(bulk, start, n, node_budget, cancel_poll, expired):
+        stats = MinerStats(nodes_visited=start)
+        token = _CancelAtPoll(cancel_poll) if cancel_poll else None
+        budget = _Budget(stats, node_budget, None, token)
+        if expired:
+            budget.deadline = float("-inf")
+        error = None
+        try:
+            if bulk:
+                budget.charge_nodes(n)
+            else:
+                for _ in range(n):
+                    budget.charge_node()
+        except MiningBudgetExceeded as overrun:
+            error = str(overrun)
+        return (error, stats.nodes_visited, stats.completed,
+                token.checks if token else None)
+
+    @given(
+        start=st.integers(0, 300),
+        n=st.integers(0, 300),
+        headroom=st.one_of(st.none(), st.integers(0, 400)),
+        cancel_poll=st.one_of(st.none(), st.integers(1, 8)),
+        expired=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bulk_equals_one_at_a_time(self, start, n, headroom,
+                                       cancel_poll, expired):
+        node_budget = None if headroom is None else start + headroom
+        args = (start, n, node_budget, cancel_poll, expired)
+        assert self._charge(True, *args) == self._charge(False, *args)

@@ -30,7 +30,13 @@ Each test here fails on the pre-fix code:
   every ``/classify`` on that model answered 500, and a model payload
   with malformed ``levels`` answered 500;
 * ``/mine`` read ``minsup`` with ``int()``: ``"x"`` answered 500 and
-  ``-3`` surfaced as a FAILED job.
+  ``-3`` surfaced as a FAILED job;
+* ``/mine`` did not check the item ids of its ``items`` rows: ``-1``
+  and ``10**30`` surfaced as FAILED jobs and ``10**8`` made the mining
+  view allocate a table of that length;
+* ``/mine`` read ``k`` and ``consequent`` with ``int()``: ``k: 2.7``
+  mined k=2, ``k: 1e9`` mined k=10**9 and ``consequent: true`` mined
+  class 1.
 """
 
 import http.client
@@ -199,6 +205,69 @@ class TestBudgetValidation:
                 service.submit_mine(_mine_body(dataset_payload, minsup=bad))
             assert excinfo.value.status == 400
             assert "minsup" in str(excinfo.value)
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "bad", [-1, 10**30, 10**8, 9, True, 1.0, "1", None], ids=repr
+    )
+    def test_bad_item_id_is_rejected_up_front(self, dataset_payload, bad):
+        """Every row id must be a JSON integer inside the item catalog
+        (9 items here); the job is never created."""
+        payload = dict(dataset_payload)
+        payload["rows"] = [[bad]] + list(payload["rows"][1:])
+        service = RuleService(mining_workers=1)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(_mine_body(payload))
+            assert excinfo.value.status == 400
+            assert "item id" in str(excinfo.value)
+            assert service.jobs.snapshots() == []
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "bad", [2.7, 1e9, True, "2", [2], 0, -1], ids=repr
+    )
+    def test_bad_k_is_rejected_up_front(self, dataset_payload, bad):
+        service = RuleService(mining_workers=1)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(_mine_body(dataset_payload, k=bad))
+            assert excinfo.value.status == 400
+            assert "'k'" in str(excinfo.value)
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 1.0, "1", None, -1, 2], ids=repr
+    )
+    def test_bad_consequent_is_rejected_up_front(self, dataset_payload, bad):
+        service = RuleService(mining_workers=1)
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                service.submit_mine(
+                    _mine_body(dataset_payload, consequent=bad)
+                )
+            assert excinfo.value.status == 400
+            assert "consequent" in str(excinfo.value)
+        finally:
+            service.shutdown()
+
+    @pytest.mark.parametrize("k, expected_k", [(2, 2), (None, 1)])
+    def test_integral_k_and_consequent_still_mine(self, dataset_payload,
+                                                  k, expected_k):
+        """An integer k mines that k; a null k means the default."""
+        service = RuleService(mining_workers=1)
+        try:
+            response = service.submit_mine(
+                _mine_body(dataset_payload, k=k, consequent=0)
+            )
+            job = service.jobs.get(response["job_id"])
+            assert job.wait(timeout=30)
+            assert job.status == "done"
+            assert job.result["k"] == expected_k
+            assert job.result["consequent"] == 0
         finally:
             service.shutdown()
 

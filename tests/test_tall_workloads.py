@@ -188,9 +188,7 @@ class TestAutoSelectionEndToEnd:
         dataset = generate_tall_cohort("tall-1k")
         view = MiningView.cached(dataset, 1, 400, backend="auto")
         expected = plan_auto_backend(dataset.n_rows)
-        assert view.backend.name == expected
-        if "numpy" in BACKENDS:
-            assert expected == "numpy"
+        assert view.backend.name == expected == "int"
 
     def test_tall_farmer_auto_stays_on_int(self):
         dataset = generate_tall_cohort(SMALL_TALL)
@@ -202,8 +200,7 @@ class TestAutoSelectionEndToEnd:
             dataset, 1, minsup, engine="bitset", backend="int"
         )
         assert result.groups == baseline.groups
-        # The planner's farmer branch is unconditional, so the resolved
-        # view is the int one even where numpy is installed.
+        # The resolved view is the int one even where numpy is installed.
         assert plan_auto_backend(dataset.n_rows, task="farmer") == "int"
 
 
